@@ -107,7 +107,7 @@ Result<void> OnlineTarget::load_module(std::shared_ptr<const Module> module) {
     // No compilation now: empty slots are filled as artifacts install.
     code_.resize(n);
     states_.resize(n);
-    image_ = std::make_shared<std::vector<MFunction>>(code_);
+    image_ = std::make_shared<std::vector<SimFunctionPtr>>(n);
     const auto callees = callee_graph(mod);
     for (uint32_t i = 0; i < n; ++i) {
       states_[i].reachable = reachable_functions(callees, i);
@@ -124,6 +124,11 @@ Result<void> OnlineTarget::load_module(std::shared_ptr<const Module> module) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   jit_seconds_ = std::chrono::duration<double>(t1 - t0).count();
+  image_ = std::make_shared<std::vector<SimFunctionPtr>>();
+  image_->reserve(n);
+  for (const MFunction& fn : code_) {
+    image_->push_back(decode_function(desc_, fn, n));
+  }
   return {};
 }
 
@@ -155,7 +160,7 @@ SimResult OnlineTarget::run(uint32_t func_idx, const std::vector<Value>& args,
   if (config_.mode == LoadMode::Tiered) {
     bool use_jit = true;
     uint8_t tier = 1;
-    std::shared_ptr<const std::vector<MFunction>> image;
+    std::shared_ptr<const std::vector<SimFunctionPtr>> image;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       FuncState& st = states_[func_idx];
@@ -188,14 +193,14 @@ SimResult OnlineTarget::run(uint32_t func_idx, const std::vector<Value>& args,
     // tier-1 installs only fill slots this run cannot reach yet, and a
     // tier-2 install swaps in a *new* image rather than mutating ours.
     if (!use_jit) return interpret(func_idx, args, memory, step_budget);
-    Simulator sim(desc_, *image, memory);
+    Simulator sim(*image, memory);
     sim.set_step_budget(step_budget);
     SimResult result = sim.run(func_idx, args);
     result.tier = tier;
     return result;
   }
 
-  Simulator sim(desc_, code_, memory);
+  Simulator sim(*image_, memory);
   sim.set_step_budget(step_budget);
   return sim.run(func_idx, args);
 }
@@ -358,7 +363,7 @@ void OnlineTarget::install_locked(uint32_t func_idx,
   // In-place image write: this slot is empty and unreachable by any run
   // in flight (tier-up requires the whole reachable set installed), so no
   // snapshot holder can be reading it.
-  (*image_)[func_idx] = artifact.code;
+  (*image_)[func_idx] = decode_function(desc_, artifact.code, code_.size());
   jit_stats_.merge(artifact.stats);
   jit_seconds_ += artifact.compile_seconds;
   states_[func_idx].installed = true;
@@ -369,9 +374,10 @@ void OnlineTarget::install_tier2_locked(uint32_t func_idx,
   code_[func_idx] = artifact.code;
   // Copy-on-write: the replaced slot may be executing right now in a run
   // that snapshotted the current image, so swap in a fresh vector instead
-  // of mutating the shared one. Tier-2 installs are rare (once per hot
-  // function), so the full copy amortizes to nothing.
-  image_ = std::make_shared<std::vector<MFunction>>(code_);
+  // of mutating the shared one. The copy shares every other decoded
+  // function, so it costs one pointer per function.
+  image_ = std::make_shared<std::vector<SimFunctionPtr>>(*image_);
+  (*image_)[func_idx] = decode_function(desc_, artifact.code, code_.size());
   jit_stats_.merge(artifact.stats);
   jit_stats_.add("jit.tier2_installs", 1);
   jit_seconds_ += artifact.compile_seconds;

@@ -225,14 +225,17 @@ class OnlineTarget {
   // load and needs no locking on the run path).
   mutable std::mutex mutex_;
   std::vector<FuncState> states_;
-  // The code image handed to the simulator in tiered mode; run() grabs
-  // the shared_ptr under the lock and executes outside it. Tier-1
-  // installs write its slots in place -- safe, because they only fill
-  // entries no in-flight run can reach yet (promotion requires the whole
-  // reachable set installed). Tier-2 installs *replace* already-observed
-  // entries, so they copy-on-write: a fresh vector is swapped in and runs
-  // in flight keep executing the image they started with.
-  std::shared_ptr<std::vector<MFunction>> image_;
+  // The decoded code image the simulator runs: every installed function
+  // decoded once, at install (decode_function in targets/simulator.h).
+  // Eager mode fills it at load and never changes it. In tiered mode
+  // run() grabs the shared_ptr under the lock and executes outside it.
+  // Tier-1 installs write its slots in place -- safe, because they only
+  // fill entries no in-flight run can reach yet (promotion requires the
+  // whole reachable set installed). Tier-2 installs *replace*
+  // already-observed entries, so they copy-on-write: a fresh vector of
+  // the same shared decoded functions is swapped in, and runs in flight
+  // keep executing the image they started with.
+  std::shared_ptr<std::vector<SimFunctionPtr>> image_;
   // Fallback tier-0 stream cache when config_.predecode is not set.
   PredecodeCache predecode_;
   ProfileData profile_;

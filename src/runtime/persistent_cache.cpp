@@ -279,8 +279,10 @@ std::string machine_fingerprint(const MachineDesc& desc) {
   fp += ":p" + std::to_string(desc.load_use_penalty) + "," +
         std::to_string(desc.taken_branch_penalty) + "," +
         std::to_string(desc.mispredict_penalty);
-  for (const auto& [op, cycles] : desc.cost_overrides) {
-    fp += ":c" + std::to_string(op) + "=" + std::to_string(cycles);
+  for (size_t i = 0; i < kNumMOps; ++i) {
+    if (!desc.overridden[i]) continue;
+    fp += ":c" + std::to_string(static_cast<uint16_t>(mop_at(i))) + "=" +
+          std::to_string(desc.costs[i]);
   }
   return fp;
 }

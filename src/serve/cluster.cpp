@@ -82,10 +82,27 @@ struct Cluster::Impl {
   // lifecycle_mu while holding it.
   std::mutex lifecycle_mu;
 
+  // Bumped before every health transition (set_health), which
+  // lifecycle_mu serializes. A submit reads it before scanning health:
+  // if the scan found no Serving shard and the epoch is unchanged
+  // afterwards, the health values it read were the fleet's state at one
+  // instant, so no shard was Serving. A changed epoch means a transition
+  // raced the scan, which may have read shard 0 just before restart(0)
+  // returned it to Serving and shard 1 just after restart(1) took it
+  // Down. The epoch and the health scan use sequentially consistent
+  // atomics, on which this argument rests.
+  std::atomic<uint64_t> health_epoch{0};
+
   std::atomic<uint64_t> submitted{0};
   std::atomic<uint64_t> routed{0};
   std::atomic<uint64_t> rejected_unroutable{0};
   std::atomic<uint64_t> profile_merges{0};
+
+  // Caller holds lifecycle_mu and shard.mu.
+  void set_health(Shard& shard, ShardHealth health) {
+    health_epoch.fetch_add(1);
+    shard.health.store(health);
+  }
 
   void build_ring() {
     ring.reserve(shards.size() * opts.virtual_nodes);
@@ -116,7 +133,7 @@ struct Cluster::Impl {
     for (size_t step = 0; step < ring.size(); ++step) {
       if (it == ring.end()) it = ring.begin();
       const size_t s = it->second;
-      if (shards[s]->health.load(kRelaxed) == ShardHealth::Serving) return s;
+      if (shards[s]->health.load() == ShardHealth::Serving) return s;
       ++it;
     }
     return SIZE_MAX;
@@ -136,7 +153,7 @@ struct Cluster::Impl {
     std::vector<size_t> ties;
     for (size_t s = 0; s < shards.size(); ++s) {
       Shard& shard = *shards[s];
-      if (shard.health.load(kRelaxed) != ShardHealth::Serving) continue;
+      if (shard.health.load() != ShardHealth::Serving) continue;
       uint64_t level = 0;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
@@ -181,13 +198,18 @@ struct Cluster::Impl {
     submitted.fetch_add(1, kRelaxed);
     // A picked shard can leave Serving between the pick and the lock
     // (a concurrent drain); re-pick until a shard accepts under its own
-    // lock. Each retry proves some shard changed state, so shards+1
-    // attempts suffice before concluding the fleet is unroutable.
-    for (size_t attempt = 0; attempt <= shards.size(); ++attempt) {
+    // lock. Each retry proves some shard changed health. The request is
+    // refused only on a scan that saw no Serving shard while no shard
+    // changed health (see health_epoch).
+    for (;;) {
+      const uint64_t epoch = health_epoch.load();
       const size_t s = opts.routing == RoutingPolicy::ConsistentHash
                            ? pick_consistent_hash(function)
                            : pick_least_loaded();
-      if (s == SIZE_MAX) break;
+      if (s == SIZE_MAX) {
+        if (health_epoch.load() == epoch) break;
+        continue;
+      }
       Shard& shard = *shards[s];
       std::future<Result<SimResult>> future;
       {
@@ -314,7 +336,7 @@ Result<void> Cluster::drain(size_t shard_idx) {
     }
     // From here no submit hands this shard another request: submits
     // re-check health under shard.mu before enqueueing.
-    shard.health.store(ShardHealth::Draining, kRelaxed);
+    impl_->set_health(shard, ShardHealth::Draining);
     server = shard.server;
   }
   server->drain();
@@ -336,7 +358,7 @@ Result<void> Cluster::restart(size_t shard_idx) {
   std::shared_ptr<Server> old;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.health.store(ShardHealth::Down, kRelaxed);
+    impl_->set_health(shard, ShardHealth::Down);
     old = std::move(shard.server);
     shard.server.reset();
   }
@@ -378,7 +400,7 @@ Result<void> Cluster::restart(size_t shard_idx) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.server = std::make_shared<Server>(std::move(server).value());
-    shard.health.store(ShardHealth::Serving, kRelaxed);
+    impl_->set_health(shard, ShardHealth::Serving);
   }
   shard.restarts.fetch_add(1, kRelaxed);
   return {};

@@ -147,11 +147,13 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(idle_mu_);
       ++pending_;
     }
+    unresolved_.fetch_add(1);
     if (std::optional<Request> refused =
             cores_[core]->queue.try_push(std::move(req))) {
       // Admission control: the routed core's queue is at its watermark
       // (or the server is shutting down). The request came back; resolve
       // its future with the rejection instead of queueing.
+      unresolved_.fetch_sub(1);
       {
         std::lock_guard<std::mutex> lock(idle_mu_);
         --pending_;
@@ -246,6 +248,10 @@ struct Server::Impl {
     cores_[core]->executed.fetch_add(1, kRelaxed);
     cores_[core]->sim_cycles.fetch_add(sim.stats.cycles, kRelaxed);
     completed_.fetch_add(1, kRelaxed);
+    // Leave inflight() before the caller can see the result, so a client
+    // that submits again as soon as its future resolves never finds this
+    // request still counted against the shard it ran on.
+    unresolved_.fetch_sub(1);
     // Resolve the caller's future before releasing drain(): when drain
     // returns, every accepted future is ready.
     req.promise.set_value(Result<SimResult>(std::move(sim)));
@@ -333,6 +339,9 @@ struct Server::Impl {
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
   uint64_t pending_ = 0;
+  // inflight(): accepted requests whose future is not yet resolved. It
+  // drops before the future resolves, pending_ only after.
+  std::atomic<uint64_t> unresolved_{0};
 
   std::unique_ptr<ThreadPool> pool_;
 };
@@ -361,10 +370,7 @@ void Server::drain() { impl_->drain(); }
 
 ServerStats Server::stats() const { return impl_->stats(); }
 
-uint64_t Server::inflight() const {
-  std::lock_guard<std::mutex> lock(impl_->idle_mu_);
-  return impl_->pending_;
-}
+uint64_t Server::inflight() const { return impl_->unresolved_.load(); }
 
 Result<size_t> Server::routed_core(std::string_view function) const {
   const auto idx = impl_->module_->find_function(function);

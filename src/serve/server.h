@@ -88,9 +88,11 @@ class Server {
   [[nodiscard]] ServerStats stats() const;
 
   /// Accepted-but-unresolved requests right now (queued + mid-execution).
-  /// Cheap -- one counter read, no snapshot -- so a load-aware router
-  /// (svc::Cluster's least-loaded policy) can consult it per decision.
-  /// Safe from any thread; instantaneous, not monotone.
+  /// A request leaves the count before its future resolves, so a caller
+  /// that waited for its answer never sees that request still counted.
+  /// Cheap -- one atomic read, no snapshot, no lock -- so a load-aware
+  /// router (svc::Cluster's least-loaded policy) can consult it per
+  /// decision. Safe from any thread; instantaneous, not monotone.
   [[nodiscard]] uint64_t inflight() const;
 
   /// The core requests for `function` route to (fixed at creation), or

@@ -209,10 +209,10 @@ uint32_t default_mop_cost(MOp op) {
   return 1;
 }
 
-uint32_t MachineDesc::cost(MOp op) const {
-  const auto it = cost_overrides.find(static_cast<uint16_t>(op));
-  if (it != cost_overrides.end()) return it->second;
-  return default_mop_cost(op);
+std::array<uint32_t, kNumMOps> default_cost_table() {
+  std::array<uint32_t, kNumMOps> table{};
+  for (size_t i = 0; i < kNumMOps; ++i) table[i] = default_mop_cost(mop_at(i));
+  return table;
 }
 
 }  // namespace svc

@@ -11,8 +11,9 @@
 // simulator share semantic definitions with the reference interpreter.
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ enum class MOp : uint16_t {
   SpillStore,     // frame[imm] <- s0
   FMA32,          // dst <- s0 * s1 + s2 (targets with has_fma)
   LoadAddr,       // dst <- s0 + imm     (address arithmetic, int)
-  MNop,
+  MNop,           // keep last: kNumMachineOnlyOps counts up to it
 };
 
 inline constexpr uint16_t kMachineOnlyBase = 1000;
@@ -47,6 +48,30 @@ inline constexpr uint16_t kMachineOnlyBase = 1000;
 /// Valid only when !is_machine_only(op).
 [[nodiscard]] inline Opcode base_opcode(MOp op) {
   return static_cast<Opcode>(static_cast<uint16_t>(op));
+}
+
+/// Dense numbering of the machine ops: every Opcode keeps its value, the
+/// machine-only ops follow at kNumOpcodes. Indexes per-op tables.
+inline constexpr size_t kNumMachineOnlyOps =
+    static_cast<size_t>(MOp::MNop) - kMachineOnlyBase + 1;
+inline constexpr size_t kNumMOps = kNumOpcodes + kNumMachineOnlyOps;
+
+/// True for the ops a machine function may contain: a bytecode opcode or
+/// one of the machine-only ops.
+[[nodiscard]] inline bool is_valid_mop(MOp op) {
+  const auto raw = static_cast<size_t>(op);
+  return raw < kNumOpcodes ||
+         (raw >= kMachineOnlyBase && raw <= static_cast<size_t>(MOp::MNop));
+}
+/// Dense index of a valid op (see kNumMOps); mop_at() is its inverse.
+[[nodiscard]] inline size_t mop_index(MOp op) {
+  const auto raw = static_cast<size_t>(op);
+  return raw < kMachineOnlyBase ? raw : kNumOpcodes + (raw - kMachineOnlyBase);
+}
+[[nodiscard]] inline MOp mop_at(size_t index) {
+  return static_cast<MOp>(index < kNumOpcodes
+                              ? index
+                              : kMachineOnlyBase + (index - kNumOpcodes));
 }
 
 [[nodiscard]] std::string mop_name(MOp op);
@@ -135,6 +160,13 @@ struct MFunction {
 /// Identifier for registered targets.
 enum class TargetKind : uint8_t { X86Sim, SparcSim, PpcSim, SpuSim };
 
+/// Baseline per-op cycle costs shared by all targets (latency-flavored,
+/// approximating CPI of dependent code on an in-order core).
+[[nodiscard]] uint32_t default_mop_cost(MOp op);
+
+/// default_mop_cost() of every op, indexed by mop_index().
+[[nodiscard]] std::array<uint32_t, kNumMOps> default_cost_table();
+
 /// Static description of a simulated core: what the JIT needs (register
 /// budget, SIMD support, lowering preferences) and what the simulator
 /// needs (cycle cost tables, penalty model). All knobs are named so
@@ -150,21 +182,22 @@ struct MachineDesc {
   uint32_t load_use_penalty = 1;
   uint32_t taken_branch_penalty = 1;
   uint32_t mispredict_penalty = 10;
-  // Cost-table overrides keyed by MOp raw value; everything else uses
-  // default_mop_cost().
-  std::map<uint16_t, uint32_t> cost_overrides;
+  // Cycle cost of every op, indexed by mop_index(): default_mop_cost()
+  // with this target's overrides applied. `overridden` marks the
+  // overrides (the persistent cache's build fingerprint lists exactly
+  // those, in op order).
+  std::array<uint32_t, kNumMOps> costs = default_cost_table();
+  std::bitset<kNumMOps> overridden;
 
-  [[nodiscard]] uint32_t cost(MOp op) const;
+  /// Valid only when is_valid_mop(op).
+  [[nodiscard]] uint32_t cost(MOp op) const { return costs[mop_index(op)]; }
   void override_cost(MOp op, uint32_t cycles) {
-    cost_overrides[static_cast<uint16_t>(op)] = cycles;
+    costs[mop_index(op)] = cycles;
+    overridden.set(mop_index(op));
   }
   void override_cost(Opcode op, uint32_t cycles) {
     override_cost(mop(op), cycles);
   }
 };
-
-/// Baseline per-op cycle costs shared by all targets (latency-flavored,
-/// approximating CPI of dependent code on an in-order core).
-[[nodiscard]] uint32_t default_mop_cost(MOp op);
 
 }  // namespace svc

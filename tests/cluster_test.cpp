@@ -458,6 +458,89 @@ TEST(ClusterTest, DrainUnderLiveTrafficLosesNothingRestartZeroCompiles) {
   EXPECT_GT(stats.shards[0].server.cache.get("cache.disk_hits"), 0);
 }
 
+// Back-to-back restart(0); restart(1) never leaves the fleet without a
+// Serving shard: restart(0) returns with shard 0 Serving before
+// restart(1) takes shard 1 Down. So no submit may be refused as
+// unroutable. One used to be, when its health scan read shard 0 just
+// before restart(0) marked it Serving and shard 1 just after restart(1)
+// marked it Down.
+TEST(ClusterTest, BackToBackRestartsNeverRefuseUnroutable) {
+  const TempStore store;
+  const ModuleHandle suite = build_reduce_suite();
+  const Engine engine = value_or_die(Engine::Builder()
+                                         .tiered(/*promote_threshold=*/1)
+                                         .persistent_cache(store.dir)
+                                         .serving({.workers = 0,
+                                                   .queue_depth = 1024,
+                                                   .batch_max = 4})
+                                         .build());
+  std::vector<Value> expected;
+  {
+    Deployment reference =
+        value_or_die(engine.deploy(suite, {{TargetKind::X86Sim, false}}));
+    fill_data(reference.memory());
+    for (uint32_t f = 0; f < suite->num_functions(); ++f) {
+      expected.push_back(value_or_die(reference.run(
+          suite->function(f).name(), reduce_args())).value);
+    }
+  }
+
+  for (const RoutingPolicy policy :
+       {RoutingPolicy::ConsistentHash, RoutingPolicy::LeastLoaded}) {
+    ClusterOptions opts;
+    opts.shards = 2;
+    opts.routing = policy;
+    opts.memory_init = fill_data;
+    Cluster cluster = value_or_die(Cluster::create(
+        engine, suite, {{TargetKind::X86Sim, false}}, opts));
+    cluster.warm_up();
+
+    constexpr int kClients = 3;
+    constexpr int kRounds = 40;
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> submitted{0};
+    std::atomic<uint64_t> resolved{0};
+    std::atomic<uint64_t> wrong{0};
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int t = 0; t < kClients; ++t) {
+      clients.emplace_back([&, t] {
+        for (uint32_t i = t; !stop.load(); ++i) {
+          const uint32_t f = i % 3;
+          std::future<Result<SimResult>> future =
+              cluster.submit(suite->function(f).name(), reduce_args());
+          submitted.fetch_add(1);
+          const Result<SimResult> r = future.get();
+          resolved.fetch_add(1);
+          if (!r.ok() || !r->ok() || !(r->value == expected[f])) {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      ASSERT_TRUE(cluster.restart(0).ok());
+      ASSERT_TRUE(cluster.restart(1).ok());
+    }
+    stop.store(true);
+    for (auto& t : clients) t.join();
+    cluster.drain();
+
+    const ClusterStats stats = cluster.stats();
+    const char* name = policy == RoutingPolicy::ConsistentHash
+                           ? "consistent-hash"
+                           : "least-loaded";
+    EXPECT_EQ(stats.rejected_unroutable, 0u) << name;
+    EXPECT_EQ(wrong.load(), 0u) << name;
+    EXPECT_GT(submitted.load(), 0u) << name;
+    EXPECT_EQ(resolved.load(), submitted.load()) << name;
+    EXPECT_EQ(stats.submitted, submitted.load()) << name;
+    EXPECT_EQ(stats.routed, submitted.load()) << name;
+    EXPECT_EQ(stats.shards[0].restarts, static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(stats.shards[1].restarts, static_cast<uint64_t>(kRounds));
+  }
+}
+
 TEST(ClusterTest, NoServingShardRejectsUnroutable) {
   const ModuleHandle suite = build_reduce_suite();
   const Engine engine = value_or_die(Engine::Builder().build());

@@ -121,6 +121,38 @@ TEST(CodeCacheKey, PrecomputedHashAgreesWithEquality) {
 
 // --- content hashing ------------------------------------------------------
 
+TEST(PersistentCache, BuildFingerprintPinnedForEveryTarget) {
+  // Stores written by earlier builds must keep hitting: how MachineDesc
+  // keeps its cost table, penalties or register budgets may change, the
+  // fingerprint they render to may not (unless on purpose, with a
+  // schema or compiler-stamp bump).
+  const std::pair<TargetKind, std::string> pinned[] = {
+      {TargetKind::X86Sim,
+       "schema=1;target=x86sim:k0:simd:nofma:r14:r14:r14:p1,1,14"
+       ":c50=4:c65=4:c77=1:c79=1:c100=3:c107=2:c135=5:c136=6"
+       ";jit=default;compiler=svc-jit-7"},
+      {TargetKind::SparcSim,
+       "schema=1;target=sparcsim:k1:nosimd:nofma:r10:r14:r0:p2,1,4"
+       ":c48=3:c50=3:c77=3:c79=3:c80=3:c92=3:c93=3:c94=3:c95=3"
+       ":c101=2:c102=2:c1004=4:c1005=3"
+       ";jit=default;compiler=svc-jit-7"},
+      {TargetKind::PpcSim,
+       "schema=1;target=ppcsim:k2:nosimd:fma:r24:r24:r0:p1,1,5"
+       ":c77=2:c79=2:c80=2:c92=2:c94=2:c1006=4"
+       ";jit=default;compiler=svc-jit-7"},
+      {TargetKind::SpuSim,
+       "schema=1;target=spusim:k3:simd:fma:r40:r40:r48:p3,2,18"
+       ":c6=2:c7=2:c8=4:c13=2:c14=2:c15=2:c16=2:c48=3:c50=3"
+       ":c92=4:c94=4:c101=4:c102=4:c113=1:c115=1:c116=1:c117=1"
+       ":c121=1:c126=2:c128=2:c1006=3"
+       ";jit=default;compiler=svc-jit-7"},
+  };
+  for (const auto& [kind, fingerprint] : pinned) {
+    EXPECT_EQ(PersistentCache::build_fingerprint(kind, "default"),
+              fingerprint);
+  }
+}
+
 TEST(PersistentCache, ContentHashTracksBodyAndInterface) {
   const Module m1 = build_call_module();  // add2 + combine (calls add2)
   const std::vector<uint64_t> h1 = PersistentCache::content_hashes(m1);

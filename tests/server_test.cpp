@@ -404,6 +404,23 @@ TEST(ServerTest, UnknownFunctionFailsFastAndCounts) {
   EXPECT_EQ(stats.accepted, 0u);
 }
 
+// A caller that waited for its answer must not find its own request
+// still counted: least-loaded routing reads inflight() on the very next
+// submit, and a stale count steers traffic away from an idle shard.
+TEST(ServerTest, InflightDropsBeforeTheFutureResolves) {
+  const ModuleHandle suite = build_reduce_suite();
+  const Engine engine = value_or_die(Engine::Builder().build());
+  Server server = value_or_die(
+      serve(engine, suite, {{TargetKind::X86Sim, false}}));
+  fill_data(server.deployment().memory());
+  const std::string fn(suite->function(0).name());
+  for (int i = 0; i < 2000; ++i) {
+    const Result<SimResult> r = server.submit(fn, reduce_args()).get();
+    ASSERT_TRUE(r.ok()) << r.error_text();
+    ASSERT_EQ(server.inflight(), 0u) << "after request " << i;
+  }
+}
+
 TEST(ServerTest, DestructionResolvesEveryAcceptedFuture) {
   const ModuleHandle suite = build_reduce_suite();
   const Engine engine = value_or_die(
